@@ -37,7 +37,6 @@ import (
 	"github.com/dsl-repro/hydra/internal/preprocess"
 	"github.com/dsl-repro/hydra/internal/schema"
 	"github.com/dsl-repro/hydra/internal/summary"
-	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
 
 // Re-exported aliases: the full data model is usable through this package
@@ -55,12 +54,10 @@ type (
 	CC       = cc.CC
 	Workload = cc.Workload
 
-	// Summary is the scale-independent database summary; Generator
-	// produces tuples from one relation summary.
+	// Summary is the scale-independent database summary.
 	Summary         = summary.Summary
 	RelationSummary = summary.RelationSummary
 	ViewSummary     = summary.ViewSummary
-	Generator       = tuplegen.Generator
 	CCReport        = summary.CCReport
 )
 
@@ -174,24 +171,6 @@ func RegenerateContext(ctx context.Context, s *Schema, w *Workload, cfg Config) 
 // error of every workload CC against the regenerated summary.
 func (r *Result) Evaluate(w *Workload) ([]CCReport, error) {
 	return summary.Evaluate(r.Summary, r.Views, w)
-}
-
-// NewGenerator returns the dynamic tuple generator for one relation of the
-// summary — the raw row-at-a-time engine primitive.
-//
-// Deprecated: use the Source/Scan read path instead —
-// NewSummarySource(s).Scan(ctx, ScanSpec{Table: table}) — which wraps
-// the same generator in columnar batches and adds projection, pk
-// ranges, filter predicates (ScanSpec.Filter), shard splits, rate
-// limiting, and cancellation, and works identically over materialized
-// directories and serve fleets. NewGenerator remains for engine-level
-// integrations that need raw row access.
-func NewGenerator(s *Summary, table string) (*Generator, error) {
-	rs, ok := s.Relations[table]
-	if !ok {
-		return nil, fmt.Errorf("hydra: summary has no relation %q", table)
-	}
-	return tuplegen.New(rs), nil
 }
 
 // ErrorCDF computes the percentage of CCs within each |relative error|

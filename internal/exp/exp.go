@@ -5,7 +5,7 @@
 // the shape of the paper's result (who wins, by roughly what factor, where
 // behaviour changes).
 //
-// Experiment index (see DESIGN.md for the full mapping):
+// Experiment index, one entry per table or figure of §7:
 //
 //	fig9   CC cardinality distribution, WLc
 //	fig10  volumetric similarity CDF, Hydra vs DataSynth (WLs)

@@ -4,7 +4,7 @@
 // scan.RemoteSource, serve.RemoteRunner, the remote:// sqldriver DSN —
 // builds on, replacing their previously divergent rotation loops.
 //
-// Three cooperating pieces:
+// Three cooperating pieces, and one loop over them:
 //
 //   - Tracker: per-member state (healthy / draining / open-breaker) kept
 //     current by background GET /healthz probes, plus EWMAs of observed
@@ -23,6 +23,10 @@
 //     are a bounded fraction of requests, not a multiplier on them). A
 //     server-sent Retry-After is honored as a floor under the jittered
 //     delay.
+//
+// Tracker.Do ties them into the one failover loop every consumer runs
+// its requests through: pick, try, classify the outcome (busy,
+// failure, or final), back off, and pick again elsewhere.
 //
 // Every state change lands in internal/obs: breaker transitions, probe
 // outcomes, member-state counts, retries, budget exhaustion, and the

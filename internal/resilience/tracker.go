@@ -235,31 +235,46 @@ func (t *Tracker) Size() int { return len(t.members) }
 // nil means every member's breaker refused: fail fast, the fleet is
 // down and the probes will notice recovery.
 func (t *Tracker) Pick() *Member {
-	n := len(t.members)
-	if n == 0 {
+	i := t.pick(nil)
+	if i < 0 {
+		t.m.pickNone.Inc()
 		return nil
 	}
+	return t.members[i]
+}
+
+// pick is Pick over the members not marked in excluded (nil excludes
+// none), returning the chosen member's index or -1. Each call advances
+// the shared cursor by one.
+func (t *Tracker) pick(excluded []bool) int {
+	n := len(t.members)
+	if n == 0 {
+		return -1
+	}
 	start := int(t.next.Add(1) - 1)
-	var fallback *Member
-	for i := 0; i < n; i++ {
-		m := t.members[(start+i)%n]
+	fallback := -1
+	for k := 0; k < n; k++ {
+		i := (start + k) % n
+		if i < len(excluded) && excluded[i] {
+			continue
+		}
+		m := t.members[i]
 		if m.Draining() {
-			if fallback == nil && m.breaker.State() == BreakerClosed {
-				fallback = m
+			if fallback < 0 && m.breaker.State() == BreakerClosed {
+				fallback = i
 			}
 			continue
 		}
 		if m.breaker.Allow() {
-			return m
+			return i
 		}
 	}
 	// No healthy member admitted; try draining members' breakers for
 	// real (consuming half-open slots only now, not during pass 1).
-	if fallback != nil && fallback.breaker.Allow() {
+	if fallback >= 0 && t.members[fallback].breaker.Allow() {
 		return fallback
 	}
-	t.m.pickNone.Inc()
-	return nil
+	return -1
 }
 
 // Start launches the background probe loop (a no-op when probing is

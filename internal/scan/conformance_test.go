@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -356,6 +357,39 @@ func TestRemoteFleetExhausted(t *testing.T) {
 	if _, err := remote.Scan(context.Background(), scan.Spec{Table: "S"}); err == nil ||
 		!strings.Contains(err.Error(), "exhausted") {
 		t.Fatalf("err = %v, want fleet exhausted", err)
+	}
+}
+
+// TestRemoteBusyWait: a 503 capacity rejection is not a failure — the
+// scan waits out Retry-After and retries without spending an attempt,
+// so a one-attempt scan against a busy-but-healthy member still
+// returns every row. The scan-side twin of serve's
+// TestRemoteRunnerBusyWait.
+func TestRemoteBusyWait(t *testing.T) {
+	sum := testSummary()
+	srv, err := serve.NewServer(sum, serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits atomic.Int64
+	busyTwice := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" && hits.Add(1) <= 2 {
+			w.Header().Set("Retry-After", "0")
+			http.Error(w, "at capacity", http.StatusServiceUnavailable)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer busyTwice.Close()
+	remote, err := scan.NewRemoteSource([]string{busyTwice.URL}, scan.RemoteOptions{Attempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	spec := scan.Spec{Table: "S", BatchRows: 1000}
+	diffBatches(t, "busy-fleet", drain(t, remote, spec), drain(t, scan.NewSummarySource(sum), spec))
+	if got := hits.Load(); got < 4 {
+		t.Fatalf("member saw %d data requests, want 2 busy + the geometry and stream", got)
 	}
 }
 

@@ -27,9 +27,9 @@ var (
 	mRemoteResumes = obs.Default.Counter("hydra_scan_remote_resumes_total",
 		"table streams that died mid-scan and were resumed at their row offset")
 	mRemoteFailovers = obs.Default.Counter("hydra_scan_remote_failovers_total",
-		"failed stream opens that moved the scan to the next fleet member")
+		"failed fleet requests (stream opens and metadata gets) that moved the scan to the next attempt")
 	mRemoteBusy = obs.Default.Counter("hydra_scan_remote_busy_total",
-		"503 capacity rejections observed while opening streams")
+		"503 capacity rejections observed on fleet requests")
 )
 
 // RemoteOptions tunes a RemoteSource.
@@ -39,9 +39,9 @@ type RemoteOptions struct {
 	// context).
 	Client *http.Client
 	// Attempts bounds consecutive failures — failed connections, error
-	// statuses, or streams that died without delivering a row — before a
-	// scan gives up; progress resets the count. 0 means twice the fleet
-	// size.
+	// statuses other than 503, or streams that died without delivering a
+	// row — before a scan gives up; progress resets the count. 0 means
+	// twice the fleet size.
 	Attempts int
 	// Fleet tunes the resilience substrate under the source: background
 	// /healthz probing, per-member circuit breakers, jittered retry
@@ -100,16 +100,13 @@ func NewRemoteSource(servers []string, opts RemoteOptions) (*RemoteSource, error
 		servers: clean,
 		opts:    opts,
 		tracker: tracker,
-		policy:  tracker.Policy("scan", opts.Attempts),
+		policy:  tracker.Policy("scan", opts.Attempts+resilience.MaxBusyWaits),
 		m:       metricsForBackend("remote"),
 	}, nil
 }
 
 // Servers returns the fleet's base URLs.
 func (s *RemoteSource) Servers() []string { return append([]string(nil), s.servers...) }
-
-// errorBodyLimit bounds how much of an error response is read back.
-const errorBodyLimit = 4 << 10
 
 // headerDigest is serve's summary-identity header (serve.HeaderDigest;
 // not imported so a future serve-on-scan layering stays cycle-free).
@@ -118,48 +115,45 @@ const headerDigest = "X-Hydra-Summary-Digest"
 // headerFilter is serve's applied-filter echo header (serve.HeaderFilter).
 const headerFilter = "X-Hydra-Filter"
 
+// retryAfterMax caps a 503's Retry-After for scans: lower than the
+// shard runner's 30s, because a scan's work unit is a resumable stream,
+// not a whole shard job.
+const retryAfterMax = 5 * time.Second
+
+// do runs one fleet request through the shared failover loop
+// (resilience.Tracker.Do) with the scan's rules on top: a spec error is
+// the same on every member, so it is permanent, and every other failed
+// attempt ticks the scan's failover (and, for 503s, busy) counters.
+func (s *RemoteSource) do(ctx context.Context, attempts int, try func(context.Context, *resilience.Member) error) (int, error) {
+	return s.tracker.Do(ctx, s.policy, attempts, func(ctx context.Context, m *resilience.Member) error {
+		err := try(ctx, m)
+		if err == nil || ctx.Err() != nil {
+			return err
+		}
+		if errors.Is(err, ErrSpec) {
+			return resilience.Permanent(err)
+		}
+		mRemoteFailovers.Inc()
+		var busy *resilience.BusyError
+		if errors.As(err, &busy) {
+			mRemoteBusy.Inc()
+		}
+		return err
+	})
+}
+
 // getJSON fetches one JSON document with fleet failover, returning the
 // answering server's summary digest header (empty on servers that
-// predate it). Member selection, backoff jitter, and the shared retry
-// budget come from the resilience substrate.
-func (s *RemoteSource) getJSON(ctx context.Context, path string, v any) (string, error) {
-	var lastErr error
-	a := s.policy.Begin()
-	sp := trace.FromContext(ctx)
-	for i := 0; ; i++ {
-		if i > 0 {
-			if i >= s.opts.Attempts || !a.Next(ctx, 0) {
-				break
-			}
-		}
-		m := s.tracker.Pick()
-		if m == nil {
-			// Every breaker is open: fail fast for this attempt; the
-			// jittered backoff before the next one gives a cooldown a
-			// chance to admit a half-open probe.
-			lastErr = resilience.ErrNoMembers
-			sp.Event("no-member", trace.Str("path", path))
-			continue
-		}
-		digest, err := s.getJSONOn(ctx, m, path, v)
-		if err == nil {
-			return digest, nil
-		}
-		// Client mistakes (bad table, bad spec) are the same on every
-		// server; failing over would just repeat them.
-		if errors.Is(err, ErrSpec) || ctx.Err() != nil {
-			return "", fmt.Errorf("%s: %w", m.URL, err)
-		}
-		lastErr = fmt.Errorf("%s: %w", m.URL, err)
-		sp.Event("failover", trace.Str("member", m.URL), trace.Str("error", err.Error()))
-		// 503 is capacity (or drain) signaling from a healthy member,
-		// not a failure; everything else counts against its breaker.
-		var busy *busyError
-		if !errors.As(err, &busy) {
-			m.ReportFailure()
-		}
+// predate it).
+func (s *RemoteSource) getJSON(ctx context.Context, path string, v any) (digest string, err error) {
+	_, err = s.do(ctx, s.opts.Attempts, func(ctx context.Context, m *resilience.Member) (err error) {
+		digest, err = s.getJSONOn(ctx, m, path, v)
+		return err
+	})
+	if err != nil {
+		return "", fmt.Errorf("scan: %w", err)
 	}
-	return "", fmt.Errorf("scan: fleet exhausted after %d attempts, last: %w", s.opts.Attempts, lastErr)
+	return digest, nil
 }
 
 // getJSONOn performs one metadata request against one member. Under a
@@ -182,16 +176,7 @@ func (s *RemoteSource) getJSONOn(ctx context.Context, m *resilience.Member, path
 		return "", err
 	}
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, errorBodyLimit))
-		resp.Body.Close()
-		statusErr := fmt.Errorf("answered %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-		switch resp.StatusCode {
-		case http.StatusBadRequest, http.StatusNotFound:
-			return "", fmt.Errorf("%w: %v", ErrSpec, statusErr)
-		case http.StatusServiceUnavailable:
-			return "", &busyError{retryAfter: busyRetryAfter(resp), msg: statusErr.Error()}
-		}
-		return "", statusErr
+		return "", statusError(resp)
 	}
 	err = json.NewDecoder(resp.Body).Decode(v)
 	resp.Body.Close()
@@ -350,24 +335,13 @@ func (f *remoteFiller) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64
 					return err
 				}
 			}
-			if err := f.rr.next(f.row); err != nil {
-				// The stream died (connection, truncation, torn row) —
-				// resume at this exact row on the next fleet member.
-				mRemoteResumes.Inc()
-				if cerr := ctx.Err(); cerr != nil {
-					// The scan was canceled; the member did nothing wrong.
-					f.finishStream(false)
-					f.closeBody()
-					return cerr
-				}
-				f.finishStream(true)
-				f.closeBody()
-				if f.fails++; f.fails >= f.src.opts.Attempts {
-					return fmt.Errorf("scan: fleet exhausted after %d attempts, last: %w", f.src.opts.Attempts, err)
-				}
-				continue
+			err := f.rr.next(f.row)
+			if err == nil {
+				break
 			}
-			break
+			if err := f.streamDied(ctx, err); err != nil {
+				return err
+			}
 		}
 		f.fails = 0 // a decoded row is progress
 		f.rowsRead++
@@ -434,82 +408,47 @@ func (f *remoteFiller) readRow(ctx context.Context) error {
 		}
 		if errors.Is(err, io.EOF) {
 			f.exhausted = true
-			f.finishStream(false)
-			f.closeBody()
+			f.endStream(false)
 			return nil
 		}
-		mRemoteResumes.Inc()
-		if cerr := ctx.Err(); cerr != nil {
-			f.finishStream(false)
-			f.closeBody()
-			return cerr
-		}
-		f.finishStream(true)
-		f.closeBody()
-		if f.fails++; f.fails >= f.src.opts.Attempts {
-			return fmt.Errorf("scan: fleet exhausted after %d attempts, last: %w", f.src.opts.Attempts, err)
+		if err := f.streamDied(ctx, err); err != nil {
+			return err
 		}
 	}
 }
 
-// openAt starts (or resumes) the table stream at absolute row abs,
-// picking members through the tracker (draining and open-breaker
-// members are skipped) and pacing failovers with the jittered,
-// budget-bounded retry policy.
-func (f *remoteFiller) openAt(ctx context.Context, abs int64) error {
-	f.closeBody()
-	var lastErr error
-	a := f.src.policy.Begin()
-	sp := trace.FromContext(ctx) // the scan's span; resilience outcomes land here
-	for first := true; f.fails < f.src.opts.Attempts; first = false {
-		var floor time.Duration
-		if !first {
-			// Jittered backoff between failovers; a 503's Retry-After is
-			// the floor under the jitter.
-			var busy *busyError
-			if errors.As(lastErr, &busy) {
-				floor = busy.retryAfter
-			}
-			if !a.Next(ctx, floor) {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				break // attempt cap or shared retry budget exhausted
-			}
-		}
-		m := f.src.tracker.Pick()
-		if m == nil {
-			lastErr = resilience.ErrNoMembers
-			sp.Event("no-member", trace.Int("offset", abs))
-			f.fails++
-			continue
-		}
-		err := f.openOn(ctx, m, abs)
-		if err == nil {
-			f.pos = abs
-			return nil
-		}
-		if errors.Is(err, ErrSpec) || ctx.Err() != nil {
-			return err
-		}
-		lastErr = fmt.Errorf("%s: %w", m.URL, err)
-		f.fails++
-		mRemoteFailovers.Inc()
-		var busy *busyError
-		if errors.As(err, &busy) {
-			// Capacity (or drain) pushback from a healthy member: no
-			// breaker hit; the Retry-After floors the next backoff.
-			mRemoteBusy.Inc()
-			lastErr = fmt.Errorf("%s: %w", m.URL, busy)
-			sp.Event("busy", trace.Str("member", m.URL),
-				trace.Dur("retry_after", busy.retryAfter))
-		} else {
-			m.ReportFailure()
-			sp.Event("failover", trace.Str("member", m.URL),
-				trace.Str("error", err.Error()))
-		}
+// streamDied settles a stream that broke mid-read (connection,
+// truncation, torn row): the next read reopens it at the exact row
+// reached, on the next fleet member. The death counts against the
+// member and the scan's consecutive-failure budget, unless ctx ended —
+// then the member did nothing wrong and ctx's error ends the scan.
+func (f *remoteFiller) streamDied(ctx context.Context, err error) error {
+	mRemoteResumes.Inc()
+	if cerr := ctx.Err(); cerr != nil {
+		f.endStream(false)
+		return cerr
 	}
-	return fmt.Errorf("scan: fleet exhausted after %d attempts, last: %w", f.src.opts.Attempts, lastErr)
+	f.endStream(true)
+	if f.fails++; f.fails >= f.src.opts.Attempts {
+		return fmt.Errorf("scan: fleet exhausted after %d attempts, last: %w", f.src.opts.Attempts, err)
+	}
+	return nil
+}
+
+// openAt starts (or resumes) the table stream at absolute row abs
+// through the fleet failover loop. Failed opens add to the scan's
+// consecutive-failure count, so the loop gets what is left of it.
+func (f *remoteFiller) openAt(ctx context.Context, abs int64) error {
+	f.endStream(false)
+	n, err := f.src.do(ctx, f.src.opts.Attempts-f.fails, func(ctx context.Context, m *resilience.Member) error {
+		return f.openOn(ctx, m, abs)
+	})
+	f.fails += n
+	if err != nil {
+		return fmt.Errorf("scan: %w", err)
+	}
+	f.pos = abs
+	return nil
 }
 
 func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, abs int64) (err error) {
@@ -552,16 +491,7 @@ func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, ab
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, errorBodyLimit))
-		resp.Body.Close()
-		errText := fmt.Sprintf("answered %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-		switch resp.StatusCode {
-		case http.StatusBadRequest, http.StatusNotFound:
-			return fmt.Errorf("%w: %s", ErrSpec, errText)
-		case http.StatusServiceUnavailable:
-			return &busyError{retryAfter: busyRetryAfter(resp), msg: errText}
-		}
-		return errors.New(errText)
+		return statusError(resp)
 	}
 	if d := resp.Header.Get(headerDigest); d != "" {
 		if f.digest == "" {
@@ -598,10 +528,14 @@ func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, ab
 	return nil
 }
 
-// finishStream settles the open stream's member accounting: a failed
-// stream counts against the member's breaker; a stream that delivered
-// rows and ended well feeds its rows/s EWMA.
-func (f *remoteFiller) finishStream(failed bool) {
+// endStream closes the open stream and settles its member accounting:
+// a failed stream counts against the member's breaker; a stream that
+// delivered rows and ended well feeds its rows/s EWMA.
+func (f *remoteFiller) endStream(failed bool) {
+	if f.body != nil {
+		f.body.Close()
+		f.body, f.rr = nil, nil
+	}
 	m := f.member
 	if m == nil {
 		return
@@ -616,46 +550,21 @@ func (f *remoteFiller) finishStream(failed bool) {
 	}
 }
 
-func (f *remoteFiller) closeBody() {
-	if f.body != nil {
-		f.body.Close()
-		f.body, f.rr = nil, nil
-	}
-}
-
 func (f *remoteFiller) close() error {
 	// A scan closed with its stream still open read everything it
 	// needed: that is a well-ended stream for EWMA purposes.
-	f.finishStream(false)
-	f.closeBody()
+	f.endStream(false)
 	return nil
 }
 
-// busyError is a 503 capacity rejection with its Retry-After hint. It
-// deliberately mirrors (not imports) serve's client-side equivalent:
-// scan stays free of a serve dependency so serve can one day sit on
-// top of scan without a cycle, and a scanning consumer waits a shorter
-// maximum (5s vs the shard Runner's 30s) because its work unit is a
-// resumable stream, not a whole shard job.
-type busyError struct {
-	retryAfter time.Duration
-	msg        string
-}
-
-func (e *busyError) Error() string { return e.msg }
-
-// busyRetryAfter parses a 503's Retry-After seconds, clamped to
-// [100ms, 5s]; absent or malformed values mean 1s.
-func busyRetryAfter(resp *http.Response) time.Duration {
-	d := time.Second
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
-		d = time.Duration(secs) * time.Second
-		if d < 100*time.Millisecond {
-			d = 100 * time.Millisecond
-		}
+// statusError maps a non-200 answer onto the scan's error classes: 400
+// and 404 are the caller's mistake (ErrSpec), 503 is capacity pushback
+// (resilience.BusyError), anything else a member failure.
+func statusError(resp *http.Response) error {
+	err := resilience.StatusError(resp, retryAfterMax)
+	switch resp.StatusCode {
+	case http.StatusBadRequest, http.StatusNotFound:
+		return fmt.Errorf("%w: %v", ErrSpec, err)
 	}
-	if d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	return d
+	return err
 }

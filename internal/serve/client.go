@@ -14,7 +14,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -33,9 +32,10 @@ type RunnerOptions struct {
 	// job context).
 	Client *http.Client
 	// Attempts is how many fleet members one Run tries before giving up
-	// (each failure moves to the next server in round-robin order);
-	// 0 means every server once. The orchestrator's own retry budget
-	// multiplies on top of this.
+	// (each failure moves to the next server in round-robin order that
+	// this Run has not tried; 503 busy answers do not count); 0 means
+	// every server once. The orchestrator's own retry budget multiplies
+	// on top of this.
 	Attempts int
 	// Workers overrides the encode worker count sent with each job.
 	// Zero — the default — lets every server choose its own parallelism
@@ -97,9 +97,8 @@ func NewRemoteRunner(servers []string, opts RunnerOptions) (*RemoteRunner, error
 	if opts.Client == nil {
 		opts.Client = &http.Client{}
 	}
-	attempts := opts.Attempts
-	if attempts <= 0 {
-		attempts = len(clean)
+	if opts.Attempts <= 0 {
+		opts.Attempts = len(clean)
 	}
 	tracker := resilience.NewTracker(clean, opts.Fleet)
 	tracker.Start()
@@ -107,7 +106,7 @@ func NewRemoteRunner(servers []string, opts RunnerOptions) (*RemoteRunner, error
 		servers: clean,
 		opts:    opts,
 		tracker: tracker,
-		policy:  tracker.Policy("runner", attempts+maxBusyWaits),
+		policy:  tracker.Policy("runner", opts.Attempts+resilience.MaxBusyWaits),
 	}, nil
 }
 
@@ -127,7 +126,8 @@ func (r *RemoteRunner) Close() error {
 
 // Run implements orchestrate.Runner: ship the job to a fleet member,
 // fetch the artifact bundle into the job's output directory, verify it
-// against the bundled manifest, and fail over on any error.
+// against the bundled manifest, and fail over on any error but a
+// summary-digest refusal.
 func (r *RemoteRunner) Run(ctx context.Context, sum *summary.Summary, job orchestrate.ShardJob) (_ *matgen.Report, err error) {
 	// One span per shard job, child of the orchestrator's shard span
 	// when one is running; failovers and busy-waits land here as
@@ -146,101 +146,24 @@ func (r *RemoteRunner) Run(ctx context.Context, sum *summary.Summary, job orches
 	if err != nil {
 		return nil, err
 	}
-	attempts := r.opts.Attempts
-	if attempts <= 0 {
-		attempts = len(r.servers)
-	}
-	var lastErr error
-	fails, busyWaits := 0, 0
-	a := r.policy.Begin()
-	for first := true; ; first = false {
-		if !first {
-			// Jittered, budget-bounded backoff between failovers; a 503's
-			// Retry-After floors the delay.
-			var floor time.Duration
-			var busy *busyError
-			if errors.As(lastErr, &busy) {
-				floor = busy.retryAfter
-			}
-			if !a.Next(ctx, floor) {
-				if ctx.Err() != nil {
-					return nil, fmt.Errorf("serve: shard %d/%d: %w", job.Shard+1, job.Opts.Shards, lastErr)
-				}
-				break // attempt cap or shared retry budget exhausted
-			}
-		}
-		m := r.tracker.Pick()
-		if m == nil {
-			// Every breaker is open: count it as a failure and let the
-			// backoff give a cooldown the chance to admit a probe.
-			lastErr = resilience.ErrNoMembers
-			sp.Event("no-member")
-			if fails++; fails >= attempts {
-				break
-			}
-			continue
-		}
-		rep, err := r.runOn(ctx, m.URL, req, job)
+	var rep *matgen.Report
+	_, err = r.tracker.Do(ctx, r.policy, r.opts.Attempts, func(ctx context.Context, m *resilience.Member) (err error) {
+		rep, err = r.runOn(ctx, m.URL, req, job)
 		if err == nil {
 			m.ReportSuccess(0, float64(rep.Rows)/max(rep.Elapsed.Seconds(), 1e-9))
-			return rep, nil
 		}
-		lastErr = fmt.Errorf("%s: %w", m.URL, err)
-		if ctx.Err() != nil {
-			break // canceled; failing over cannot help
-		}
-		// A 503 is capacity (or drain) signaling, not failure: the
-		// member is healthy but at -max-streams. It costs a bounded
-		// busy-wait, not a failover attempt and not a breaker hit — so a
-		// permanently saturated fleet still surfaces an error to the
-		// orchestrator's retries.
-		var busy *busyError
-		if errors.As(err, &busy) {
-			sp.Event("busy", trace.Str("member", m.URL),
-				trace.Dur("retry_after", busy.retryAfter))
-			if busyWaits++; busyWaits > maxBusyWaits {
-				break
-			}
-			continue
-		}
-		m.ReportFailure()
-		sp.Event("failover", trace.Str("member", m.URL),
-			trace.Str("error", err.Error()))
-		if fails++; fails >= attempts {
-			break
-		}
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: shard %d/%d: %w", job.Shard+1, job.Opts.Shards, err)
 	}
-	return nil, fmt.Errorf("serve: shard %d/%d failed on %d server(s), last: %w",
-		job.Shard+1, job.Opts.Shards, min(attempts, len(r.servers)), lastErr)
+	return rep, nil
 }
 
-// maxBusyWaits bounds how many 503 capacity rejections one Run will
-// wait out before treating saturation as failure.
-const maxBusyWaits = 8
-
-// busyError is a 503 capacity rejection with its Retry-After hint.
-type busyError struct {
-	retryAfter time.Duration
-	msg        string
-}
-
-func (e *busyError) Error() string { return e.msg }
-
-// busyRetryAfter parses a 503's Retry-After seconds, clamped to
-// [100ms, 30s]; absent or malformed values mean 1s.
-func busyRetryAfter(resp *http.Response) time.Duration {
-	d := time.Second
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
-		d = time.Duration(secs) * time.Second
-		if d < 100*time.Millisecond {
-			d = 100 * time.Millisecond
-		}
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
-}
+// retryAfterMax caps a 503's Retry-After for shard jobs. A job is a
+// whole shard, so waiting out a long pushback beats redoing the work
+// elsewhere; scans, whose streams resume cheaply, cap lower.
+const retryAfterMax = 30 * time.Second
 
 // jobRequest maps the orchestrator's resolved matgen options onto the
 // wire document.
@@ -285,9 +208,6 @@ func (r *RemoteRunner) digestFor(sum *summary.Summary) (string, error) {
 	return digest, nil
 }
 
-// errorBodyLimit bounds how much of an error response is read back.
-const errorBodyLimit = 4 << 10
-
 // runOn executes the job on one server and unpacks the bundle. The
 // download stages into a private temp dir and is renamed into the
 // output directory only after the whole bundle verified against its
@@ -316,12 +236,15 @@ func (r *RemoteRunner) runOn(ctx context.Context, srv string, req *ShardJobReque
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, errorBodyLimit))
-		errText := fmt.Sprintf("server answered %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			return nil, &busyError{retryAfter: busyRetryAfter(resp), msg: errText}
+		err := resilience.StatusError(resp, retryAfterMax)
+		if resp.StatusCode == http.StatusConflict {
+			// The member holds a different summary than the job's. The
+			// whole fleet normally serves one summary, so failing over
+			// would only repeat the refusal, and it would open healthy
+			// members' breakers besides.
+			return nil, resilience.Permanent(err)
 		}
-		return nil, errors.New(errText)
+		return nil, err
 	}
 
 	dir := job.Opts.Dir
